@@ -334,10 +334,12 @@ let binary_emit_alloc_ceiling = 0.5
 let trace_campaign ~quick () =
   let contents = if quick then 8 else 25 in
   let runs = if quick then 2 else 4 in
-  (Attack.Timing_experiment.run
-     ~make_setup:(fun ~seed ~tracer -> Ndn.Network.lan ~seed ~tracer ())
-     ~contents ~runs ~seed:11 ~jobs:1 ~trace:true ())
-    .Attack.Timing_experiment.trace
+  let tracer = Sim.Trace.create () in
+  ignore
+    (Attack.Timing_experiment.run
+       ~make_setup:(fun ~seed ~tracer -> Ndn.Network.lan ~seed ~tracer ())
+       ~contents ~runs ~seed:11 ~jobs:1 ~tracer ());
+  tracer
 
 (* One op = one event re-rendered into a reused buffer (JSONL) or a
    reset encoder (binary) — the per-event cost a [--trace] run pays at

@@ -11,58 +11,57 @@ let paper_reference = function
   | "Local host" -> "paper: support ~0.4-12.1 ms, near-perfect distinguisher"
   | _ -> ""
 
-let run_one ~label ~make_setup ~contents ~runs ~jobs ~tracing =
+let run_one ~label ~make_setup ~contents ~runs ~jobs ~tracer =
   let result =
-    Attack.Timing_experiment.run ~make_setup ~contents ~runs ~jobs
-      ~trace:tracing ()
+    Attack.Timing_experiment.run ~make_setup ~contents ~runs ~jobs ~tracer ()
   in
   section "@.--- Figure 3: %s ---@." label;
   section "%s@." (paper_reference label);
   Attack.Timing_experiment.pp_result Format.std_formatter result;
-  (result.Attack.Timing_experiment.success_rate,
-   result.Attack.Timing_experiment.trace)
+  result.Attack.Timing_experiment.success_rate
 
 let run ~scale ~jobs ?trace () =
   let contents = 50 * scale and runs = 4 * scale in
-  let tracing = trace <> None in
+  (* All four campaigns stream, in a fixed order and each in run order,
+     into one writer — the file is identical for any --jobs. *)
+  let tracer, close_trace =
+    match trace with
+    | None -> (Sim.Trace.disabled, ignore)
+    | Some (file, fmt) ->
+      let oc = open_out_bin file in
+      let tracer = Sim.Trace.writer fmt oc in
+      ( tracer,
+        fun () ->
+          Sim.Trace.finish tracer;
+          close_out oc;
+          section "trace: %d events -> %s (%s)@." (Sim.Trace.length tracer) file
+            (Sim.Trace.format_to_string fmt) )
+  in
   section "@.================ Figure 3: timing attacks ================@.";
-  let lan, lan_tr =
+  let lan =
     run_one ~label:"LAN"
       ~make_setup:(fun ~seed ~tracer -> Ndn.Network.lan ~seed ~tracer ())
-      ~contents ~runs ~jobs ~tracing
+      ~contents ~runs ~jobs ~tracer
   in
-  let wan, wan_tr =
+  let wan =
     run_one ~label:"WAN"
       ~make_setup:(fun ~seed ~tracer -> Ndn.Network.wan ~seed ~tracer ())
-      ~contents ~runs ~jobs ~tracing
+      ~contents ~runs ~jobs ~tracer
   in
-  let producer, producer_tr =
+  let producer =
     run_one ~label:"WAN producer privacy"
       ~make_setup:(fun ~seed ~tracer ->
         Ndn.Network.wan_producer ~seed ~tracer ())
-      ~contents ~runs ~jobs ~tracing
+      ~contents ~runs ~jobs ~tracer
   in
-  let local, local_tr =
+  let local =
     run_one ~label:"Local host"
       ~make_setup:(fun ~seed ~tracer -> Ndn.Network.local_host ~seed ~tracer ())
-      ~contents ~runs ~jobs ~tracing
+      ~contents ~runs ~jobs ~tracer
   in
   section "@.Figure 3 summary (distinguisher success, paper -> measured):@.";
   section "  (a) LAN:              >99.9%%  ->  %5.2f%%@." (100. *. lan);
   section "  (b) WAN:              >99%%    ->  %5.2f%%@." (100. *. wan);
   section "  (c) producer privacy:  59%%    ->  %5.2f%%@." (100. *. producer);
   section "  (d) local host:       ~100%%   ->  %5.2f%%@." (100. *. local);
-  match trace with
-  | None -> ()
-  | Some (file, fmt) ->
-    (* All four campaigns in a fixed order, each already merged in run
-       order — the file is identical for any --jobs. *)
-    let merged = Sim.Trace.create () in
-    List.iter
-      (fun tr -> Sim.Trace.merge_into ~into:merged tr)
-      [ lan_tr; wan_tr; producer_tr; local_tr ];
-    let oc = open_out_bin file in
-    Sim.Trace.write fmt oc merged;
-    close_out oc;
-    section "trace: %d events -> %s (%s)@." (Sim.Trace.length merged) file
-      (Sim.Trace.format_to_string fmt)
+  close_trace ()

@@ -80,25 +80,58 @@ let trace_format_arg =
     & info [ "trace-format" ] ~docv:"FMT"
         ~doc:
           "Trace file format: $(b,jsonl) (default), $(b,csv), or $(b,binary) \
-           (the compact length-prefixed wire format of DESIGN \\u{00a7}16, \
+           (the compact length-prefixed wire format of DESIGN section 16, \
            readable by $(b,ndnsim analyze)).")
 
-(* The summary line is a diagnostic, so it goes to stderr: with
-   [--trace -] the exported rows own stdout and must never interleave
-   with warnings (the S2 lint rule enforces the same split in lib/). *)
-let write_trace ~file ~format tracer =
-  (match file with
-  | "-" ->
-    if format = Sim.Trace.Binary then set_binary_mode_out stdout true;
-    Sim.Trace.write format stdout tracer;
-    flush stdout
-  | _ ->
-    let oc = open_out_bin file in
-    Sim.Trace.write format oc tracer;
-    close_out oc);
-  Format.eprintf "trace: %d events -> %s (%s)@." (Sim.Trace.length tracer)
-    (if file = "-" then "<stdout>" else file)
-    (Sim.Trace.format_to_string format)
+(* A failure inside a subcommand: reported on stderr with exit status
+   1.  Raised rather than exiting on the spot, so [with_trace] can
+   remove a partial trace file first. *)
+exception Cli_error of string
+
+let die fmt = Format.kasprintf (fun msg -> raise (Cli_error msg)) fmt
+
+let report_and_exit msg =
+  Format.eprintf "%s@." msg;
+  exit 1
+
+(* Run a subcommand body with the tracer the command line asks for.
+   Without [--trace] the body gets [Sim.Trace.disabled] and nothing
+   else is allocated.  With it, the body gets a streaming writer over
+   the file (or stdout for [-]) that encodes every event as it is
+   emitted; once the body returns, the writer is finished and the
+   summary line printed.  The summary is a diagnostic, so it goes to
+   stderr: with [--trace -] the exported rows own stdout and must never
+   interleave with warnings (the S2 lint rule enforces the same split
+   in lib/).  If the body fails, a partial trace file is removed. *)
+let with_trace ~file ~format f =
+  match file with
+  | None -> ( try f Sim.Trace.disabled with Cli_error msg -> report_and_exit msg)
+  | Some file -> (
+    let to_stdout = file = "-" in
+    let oc =
+      if to_stdout then begin
+        if format = Sim.Trace.Binary then set_binary_mode_out stdout true;
+        stdout
+      end
+      else try open_out_bin file with Sys_error msg -> report_and_exit msg
+    in
+    let tracer = Sim.Trace.writer format oc in
+    match f tracer with
+    | () ->
+      Sim.Trace.finish tracer;
+      if not to_stdout then close_out oc;
+      Format.eprintf "trace: %d events -> %s (%s)@." (Sim.Trace.length tracer)
+        (if to_stdout then "<stdout>" else file)
+        (Sim.Trace.format_to_string format)
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      if not to_stdout then begin
+        close_out_noerr oc;
+        try Sys.remove file with Sys_error _ -> ()
+      end;
+      (match e with
+      | Cli_error msg -> report_and_exit msg
+      | e -> Printexc.raise_with_backtrace e bt))
 
 (* Result lines normally own stdout, but with [--trace -] the streamed
    trace does, so the human-readable output moves to stderr too. *)
@@ -128,18 +161,12 @@ let install_faults_or_die net = function
   | Some schedule -> (
     match Ndn.Network.install_faults net schedule with
     | Ok () -> ()
-    | Error msg ->
-      Format.eprintf "fault schedule: %s@." msg;
-      exit 1)
+    | Error msg -> die "fault schedule: %s" msg)
 
 (* Timing_experiment installs the schedule into each run's fresh
    network and rejects unknown targets there; surface that as a clean
    CLI error rather than an uncaught exception. *)
-let experiment_or_die f =
-  try f ()
-  with Invalid_argument msg ->
-    Format.eprintf "%s@." msg;
-    exit 1
+let experiment_or_die f = try f () with Invalid_argument msg -> die "%s" msg
 
 let countermeasure_arg =
   let parse s =
@@ -258,18 +285,13 @@ let attack_cmd =
              ~seed));
       setup
     in
+    with_trace ~file:trace_file ~format:trace_format @@ fun tracer ->
     let result =
       experiment_or_die (fun () ->
-          Attack.Timing_experiment.run ~make_setup
-            ~contents ~runs ~seed ?jobs ?shards
-            ?faults
-            ~trace:(trace_file <> None) ())
+          Attack.Timing_experiment.run ~make_setup ~contents ~runs ~seed ?jobs
+            ?shards ?faults ~tracer ())
     in
-    Attack.Timing_experiment.pp_result (result_formatter trace_file) result;
-    match trace_file with
-    | Some file ->
-      write_trace ~file ~format:trace_format result.Attack.Timing_experiment.trace
-    | None -> ()
+    Attack.Timing_experiment.pp_result (result_formatter trace_file) result
   in
   let contents =
     Arg.(value & opt int 100 & info [ "contents" ] ~docv:"N" ~doc:"Contents per run.")
@@ -347,29 +369,20 @@ let defend_cmd =
         setup.Ndn.Network.router ~seed:(seed + 10_000) cm;
       setup
     in
-    let trace = trace_file <> None in
-    let baseline =
+    (* One trace: the baseline campaign first, then the defended one. *)
+    with_trace ~file:trace_file ~format:trace_format @@ fun tracer ->
+    let campaign make_setup =
       experiment_or_die (fun () ->
-          Attack.Timing_experiment.run ~make_setup:base_make ~contents ~runs
-            ~seed ?jobs ?shards ?faults ~trace ())
+          Attack.Timing_experiment.run ~make_setup ~contents ~runs ~seed ?jobs
+            ?shards ?faults ~tracer ())
     in
-    let defended =
-      experiment_or_die (fun () ->
-          Attack.Timing_experiment.run ~make_setup:producer_make ~contents
-            ~runs ~seed ?jobs ?shards ?faults ~trace ())
-    in
-    Format.printf "undefended distinguisher: %.2f%%@."
+    let baseline = campaign base_make in
+    let defended = campaign producer_make in
+    let out = result_formatter trace_file in
+    Format.fprintf out "undefended distinguisher: %.2f%%@."
       (100. *. baseline.Attack.Timing_experiment.success_rate);
-    Format.printf "defended distinguisher:   %.2f%%@."
-      (100. *. defended.Attack.Timing_experiment.success_rate);
-    match trace_file with
-    | Some file ->
-      (* Baseline campaign first, then the defended one. *)
-      let merged = Sim.Trace.create () in
-      Sim.Trace.merge_into ~into:merged baseline.Attack.Timing_experiment.trace;
-      Sim.Trace.merge_into ~into:merged defended.Attack.Timing_experiment.trace;
-      write_trace ~file ~format:trace_format merged
-    | None -> ()
+    Format.fprintf out "defended distinguisher:   %.2f%%@."
+      (100. *. defended.Attack.Timing_experiment.success_rate)
   in
   let contents =
     Arg.(value & opt int 60 & info [ "contents" ] ~docv:"N" ~doc:"Contents per run.")
@@ -601,9 +614,7 @@ let interact_cmd =
 let probe_cmd =
   let run topology warm target scope seed shards trace_file trace_format faults
       =
-    let tracer =
-      if trace_file <> None then Sim.Trace.create () else Sim.Trace.disabled
-    in
+    with_trace ~file:trace_file ~format:trace_format @@ fun tracer ->
     let setup = (make_setup_of_topology ?shards topology) ~seed ~tracer in
     let out = result_formatter trace_file in
     install_faults_or_die setup.Ndn.Network.net faults;
@@ -615,15 +626,12 @@ let probe_cmd =
         Format.fprintf out "warmed %s (via honest user U)@." w)
       warm;
     let name = Ndn.Name.of_string target in
-    (match
-       Ndn.Network.fetch_rtt setup.Ndn.Network.net ~from:setup.Ndn.Network.adversary
-         ?scope ~timeout_ms:1000. name
-     with
+    match
+      Ndn.Network.fetch_rtt setup.Ndn.Network.net ~from:setup.Ndn.Network.adversary
+        ?scope ~timeout_ms:1000. name
+    with
     | Some rtt -> Format.fprintf out "probe %s -> %.3f ms@." target rtt
-    | None -> Format.fprintf out "probe %s -> timeout@." target);
-    match trace_file with
-    | Some file -> write_trace ~file ~format:trace_format tracer
-    | None -> ()
+    | None -> Format.fprintf out "probe %s -> timeout@." target
   in
   let warm =
     Arg.(
@@ -647,14 +655,11 @@ let probe_cmd =
 let topo_cmd =
   let run file generate warm_node warm probe_node target scope seed trace_file
       trace_format faults =
-    let tracer =
-      if trace_file <> None then Sim.Trace.create () else Sim.Trace.disabled
-    in
+    with_trace ~file:trace_file ~format:trace_format @@ fun tracer ->
+    let out = result_formatter trace_file in
     let parsed =
       match (file, generate) with
-      | Some _, Some _ ->
-        Format.eprintf "--file and --generate are mutually exclusive@.";
-        exit 1
+      | Some _, Some _ -> die "--file and --generate are mutually exclusive"
       | Some file, None ->
         Ndn.Topology_spec.parse_file ~seed ~tracer ~path:file ()
       | None, Some directive ->
@@ -666,9 +671,9 @@ let topo_cmd =
               (function
                 | _, (Ndn.Topology_spec.Generate_decl d as dir) ->
                   let g = Ndn.Topology_spec.Gen.graph_of d in
-                  Format.printf "%s@."
+                  Format.fprintf out "%s@."
                     (Ndn.Topology_spec.print [ (1, dir) ] |> String.trim);
-                  Format.printf
+                  Format.fprintf out
                     "generated: %d routers, %d links, diameter %d, root %s, \
                      producer %s, hop limit %d, pit lifetime %.0f ms@."
                     g.Ndn.Topology_spec.Gen.node_count
@@ -682,16 +687,11 @@ let topo_cmd =
                 | _ -> ())
               spec;
             Ndn.Topology_spec.build ~seed ~tracer spec)
-      | None, None ->
-        Format.eprintf "one of --file or --generate is required@.";
-        exit 1
+      | None, None -> die "one of --file or --generate is required"
     in
     match parsed with
-    | Error msg ->
-      Format.eprintf "%s@." msg;
-      exit 1
+    | Error msg -> die "%s" msg
     | Ok topo ->
-      let out = result_formatter trace_file in
       install_faults_or_die topo.Ndn.Topology_spec.network faults;
       let names = List.map fst topo.Ndn.Topology_spec.nodes in
       let shown =
@@ -707,9 +707,7 @@ let topo_cmd =
       let resolve label =
         match List.assoc_opt label topo.Ndn.Topology_spec.nodes with
         | Some node -> node
-        | None ->
-          Format.eprintf "no node %S in the topology@." label;
-          exit 1
+        | None -> die "no node %S in the topology" label
       in
       List.iter
         (fun w ->
@@ -720,7 +718,7 @@ let topo_cmd =
           | Some rtt -> Format.fprintf out "%s fetched %s: %.3f ms@." warm_node w rtt
           | None -> Format.fprintf out "%s fetch of %s timed out@." warm_node w)
         warm;
-      (match target with
+      match target with
       | Some t -> (
         match
           Ndn.Network.fetch_rtt topo.Ndn.Topology_spec.network
@@ -729,10 +727,7 @@ let topo_cmd =
         with
         | Some rtt -> Format.fprintf out "%s probes %s: %.3f ms@." probe_node t rtt
         | None -> Format.fprintf out "%s probes %s: timeout@." probe_node t)
-      | None -> ());
-      (match trace_file with
-      | Some file -> write_trace ~file ~format:trace_format tracer
-      | None -> ())
+      | None -> ()
   in
   let file =
     Arg.(
@@ -781,9 +776,7 @@ let topo_cmd =
 let flood_cmd =
   let run topology rate duration pit_capacity admission queue_rate queue_depth
       fetches seed shards trace_file trace_format faults =
-    let tracer =
-      if trace_file <> None then Sim.Trace.create () else Sim.Trace.disabled
-    in
+    with_trace ~file:trace_file ~format:trace_format @@ fun tracer ->
     let setup = (make_setup_of_topology ?shards topology) ~seed ~tracer in
     let net = setup.Ndn.Network.net in
     let out = result_formatter trace_file in
@@ -800,9 +793,7 @@ let flood_cmd =
       | Ok () ->
         Format.fprintf out "queue: %s<->%s at %.2f Mbps, depth %d@." a b mbps
           queue_depth
-      | Error msg ->
-        Format.eprintf "--queue-rate: %s@." msg;
-        exit 1));
+      | Error msg -> die "--queue-rate: %s" msg));
     let fl =
       arm_flood ~setup ~rate ~until:duration ~pit_capacity ~admission ~seed
     in
@@ -856,10 +847,7 @@ let flood_cmd =
       "honest: %d/%d fetches delivered (%d gave up), %d NACK fast-failures, \
        mean latency %.2f ms@."
       delivered !completed !give_ups !honest_nacks
-      (if delivered = 0 then 0. else !latency_sum /. float_of_int delivered);
-    match trace_file with
-    | Some file -> write_trace ~file ~format:trace_format tracer
-    | None -> ()
+      (if delivered = 0 then 0. else !latency_sum /. float_of_int delivered)
   in
   let rate =
     Arg.(
@@ -926,22 +914,18 @@ let chaos_cmd =
     let out = result_formatter trace_file in
     Format.fprintf out "fault schedule (%d events):@.%s" (List.length schedule)
       (Sim.Fault.print schedule);
+    with_trace ~file:trace_file ~format:trace_format @@ fun tracer ->
     let result =
       experiment_or_die (fun () ->
           Attack.Timing_experiment.run
             ~make_setup:(make_setup_of_topology ?shards topology)
-            ~contents ~runs ~seed ?jobs ?shards ~faults:schedule
-            ~trace:(trace_file <> None) ())
+            ~contents ~runs ~seed ?jobs ?shards ~faults:schedule ~tracer ())
     in
     Attack.Timing_experiment.pp_result out result;
     let fnr = Attack.Timing_experiment.false_negative_rate result in
     if not (Float.is_nan fnr) then
       Format.fprintf out "attacker false-negative rate under churn: %.2f%%@."
-        (100. *. fnr);
-    match trace_file with
-    | Some file ->
-      write_trace ~file ~format:trace_format result.Attack.Timing_experiment.trace
-    | None -> ()
+        (100. *. fnr)
   in
   let restart_mean =
     Arg.(

@@ -14,7 +14,6 @@ type result = {
   miss_hist : Sim.Histogram.t;
   success_rate : float;
   timeouts : int;
-  trace : Sim.Trace.t;
   phases : phase list;
 }
 
@@ -26,11 +25,9 @@ type result = {
    Each observation is (issue time, rtt option): the timestamp costs
    nothing behavioural — no extra RNG draws or engine events — and lets
    faulted campaigns attribute every probe to a fault phase. *)
-let collect_run ~make_setup ~contents ~seed ~trace run =
+let collect_run ~make_setup ~contents ~seed ~tracer_for run =
   let warm_obs = ref [] and cold_obs = ref [] in
-  (* A per-run tracer keeps each domain writing to its own buffer; the
-     buffers are merged in run order afterwards. *)
-  let tracer = if trace then Sim.Trace.create () else Sim.Trace.disabled in
+  let tracer = tracer_for run in
   let setup = make_setup ~seed:(seed + run) ~tracer in
   let net = setup.Ndn.Network.net in
   for i = 0 to contents - 1 do
@@ -57,10 +54,10 @@ let collect_run ~make_setup ~contents ~seed ~trace run =
    first probe; instead each warm-probe-probe triple is scheduled at a
    fixed virtual time and the engine runs once, so probes genuinely
    interleave with the fault timeline. *)
-let collect_run_faulted ~make_setup ~contents ~seed ~trace ~faults ~interval
-    ~lag run =
+let collect_run_faulted ~make_setup ~contents ~seed ~tracer_for ~faults
+    ~interval ~lag run =
   let warm_obs = ref [] and cold_obs = ref [] in
-  let tracer = if trace then Sim.Trace.create () else Sim.Trace.disabled in
+  let tracer = tracer_for run in
   let setup = make_setup ~seed:(seed + run) ~tracer in
   let net = setup.Ndn.Network.net in
   (match Ndn.Network.install_faults net faults with
@@ -119,11 +116,11 @@ let default_interval ~faults ~contents =
   in
   Float.max 50. ((horizon +. 1000.) /. float_of_int (max 1 contents))
 
-let collect ?jobs ?(shards = 1) ?(trace = false) ?(faults = [])
+let collect ?jobs ?(shards = 1) ?(tracer = Sim.Trace.disabled) ?(faults = [])
     ?probe_interval_ms ?probe_lag_ms ~make_setup ~contents ~runs ~seed () =
   (* Per-run sample lists (and trace buffers) are concatenated in run
-     order, so the merged arrays — and the exported trace bytes — are
-     identical to a sequential (jobs = 1) campaign. *)
+     order, so the merged arrays — and the traced bytes — are identical
+     to a sequential (jobs = 1) campaign. *)
   let jobs =
     (* Both fan-out axes multiply: [jobs] trial workers each spinning a
        [shards]-domain partition.  An unspecified [jobs] is derated so
@@ -133,11 +130,20 @@ let collect ?jobs ?(shards = 1) ?(trace = false) ?(faults = [])
     | Some j -> j
     | None -> max 1 (Sim.Parallel.default_jobs () / max 1 shards)
   in
-  (match Sim.Parallel.check_domains ~jobs:(max 1 (min jobs runs)) ~shards with
+  let workers = max 1 (min jobs runs) in
+  (match Sim.Parallel.check_domains ~jobs:workers ~shards with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Timing_experiment: " ^ msg));
+  (* One worker runs the runs in order on this domain, so every run's
+     network emits straight into [tracer].  Concurrent runs each buffer
+     privately instead; the buffers drain into [tracer] in run order
+     once the map is done. *)
+  let buffered = workers > 1 && Sim.Trace.enabled tracer in
+  let tracer_for =
+    if buffered then fun _ -> Sim.Trace.create () else fun _ -> tracer
+  in
   let runner =
-    if faults = [] then collect_run ~make_setup ~contents ~seed ~trace
+    if faults = [] then collect_run ~make_setup ~contents ~seed ~tracer_for
     else
       let interval =
         match probe_interval_ms with
@@ -147,8 +153,8 @@ let collect ?jobs ?(shards = 1) ?(trace = false) ?(faults = [])
       let lag =
         match probe_lag_ms with Some l -> l | None -> interval /. 2.
       in
-      collect_run_faulted ~make_setup ~contents ~seed ~trace ~faults ~interval
-        ~lag
+      collect_run_faulted ~make_setup ~contents ~seed ~tracer_for ~faults
+        ~interval ~lag
   in
   let per_run = Sim.Parallel.map ~jobs runs runner in
   let warm_obs =
@@ -157,15 +163,13 @@ let collect ?jobs ?(shards = 1) ?(trace = false) ?(faults = [])
   let cold_obs =
     List.concat_map (fun (_, c, _) -> c) (Array.to_list per_run)
   in
-  let merged =
-    if trace then begin
-      let into = Sim.Trace.create () in
-      Array.iter (fun (_, _, tr) -> Sim.Trace.merge_into ~into tr) per_run;
-      into
-    end
-    else Sim.Trace.disabled
-  in
-  (Array.of_list warm_obs, Array.of_list cold_obs, merged)
+  if buffered then
+    Array.iter
+      (fun (_, _, tr) ->
+        Sim.Trace.merge_into ~into:tracer tr;
+        Sim.Trace.clear tr)
+      per_run;
+  (Array.of_list warm_obs, Array.of_list cold_obs)
 
 (* [0, b1), [b1, b2), …, [bn, ∞): one segment per network regime. *)
 let segments faults =
@@ -203,7 +207,7 @@ let phase_metrics ~detector ~warm_obs ~cold_obs (phase_start, phase_end) =
     phase_fnr = 1. -. tpr;
   }
 
-let summarize ~bins ~faults (warm_obs, cold_obs, trace) =
+let summarize ~bins ~faults (warm_obs, cold_obs) =
   let successes obs =
     Array.to_list obs
     |> List.filter_map (fun (_, rtt) -> rtt)
@@ -254,14 +258,13 @@ let summarize ~bins ~faults (warm_obs, cold_obs, trace) =
     miss_hist;
     success_rate;
     timeouts;
-    trace;
     phases;
   }
 
 let run ~make_setup ?(contents = 100) ?(runs = 10) ?(seed = 7) ?(bins = 40)
-    ?jobs ?shards ?trace ?(faults = []) ?probe_interval_ms ?probe_lag_ms () =
+    ?jobs ?shards ?tracer ?(faults = []) ?probe_interval_ms ?probe_lag_ms () =
   summarize ~bins ~faults
-    (collect ?jobs ?shards ?trace ~faults ?probe_interval_ms ?probe_lag_ms
+    (collect ?jobs ?shards ?tracer ~faults ?probe_interval_ms ?probe_lag_ms
        ~make_setup ~contents ~runs ~seed ())
 
 let run_producer_privacy = run

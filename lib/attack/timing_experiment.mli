@@ -28,9 +28,6 @@ type result = {
           number the paper reports (99.9% LAN, >99% WAN, 59%
           producer). *)
   timeouts : int;
-  trace : Sim.Trace.t;
-      (** Per-run traces merged in run order; {!Sim.Trace.disabled}
-          unless the campaign ran with [trace:true]. *)
   phases : phase list;
       (** Separability per fault phase (segments of
           {!Sim.Fault.phase_boundaries}); empty without [faults]. *)
@@ -44,7 +41,7 @@ val run :
   ?bins:int ->
   ?jobs:int ->
   ?shards:int ->
-  ?trace:bool ->
+  ?tracer:Sim.Trace.t ->
   ?faults:Sim.Fault.schedule ->
   ?probe_interval_ms:float ->
   ?probe_lag_ms:float ->
@@ -70,11 +67,14 @@ val run :
     campaign raises [Invalid_argument] when [jobs * shards] exceeds the
     domain budget.
 
-    [make_setup] receives a per-run [tracer]: {!Sim.Trace.disabled}
-    unless [trace] (default [false]) is set, in which case each run
-    buffers its events privately and the buffers are merged in run
-    order into [result.trace] — rendering that trace yields the same
-    bytes for any [jobs].
+    [tracer] (default {!Sim.Trace.disabled}) receives every run's
+    events in run order — usually a {!Sim.Trace.writer}, which encodes
+    them as they are emitted.  When the runs execute one at a time
+    (one worker), [make_setup] is handed [tracer] itself, so nothing is
+    buffered; with several workers each run buffers privately and the
+    buffers drain into [tracer] in run order, and are dropped, after
+    the last run.  Either way [tracer] sees the same events in the
+    same order for any [jobs].
 
     [faults] (default empty — byte-identical to the unfaulted
     procedure) installs the schedule into every run's fresh network and
@@ -97,7 +97,7 @@ val run_producer_privacy :
   ?bins:int ->
   ?jobs:int ->
   ?shards:int ->
-  ?trace:bool ->
+  ?tracer:Sim.Trace.t ->
   ?faults:Sim.Fault.schedule ->
   ?probe_interval_ms:float ->
   ?probe_lag_ms:float ->

@@ -13,9 +13,10 @@
    merge reassociates additions).  Per-shard or per-trial partial
    folds therefore combine deterministically.
 
-   Times are microsecond-quantized through [Trace.time_to_us] — the
+   Times are nanosecond-quantized through [Trace.time_to_ns] — the
    binary wire precision and the JSONL [%.6f] precision — so both
-   pipelines yield byte-identical summaries. *)
+   pipelines yield byte-identical summaries; summaries report them in
+   microseconds, rounded to nearest. *)
 
 type node_acc = { mutable hits : int; mutable misses : int }
 
@@ -23,8 +24,8 @@ type probe = { warm : bool; mutable hit_seen : bool }
 
 type t = {
   mutable n_events : int;
-  mutable first_us : int;
-  mutable last_us : int;
+  mutable first_ns : int;
+  mutable last_ns : int;
   kind_counts : int array;
   nodes : (string, node_acc) Hashtbl.t;
   probes : (string, probe) Hashtbl.t;
@@ -44,8 +45,8 @@ let hist_bins = 20
 let create () =
   {
     n_events = 0;
-    first_us = max_int;
-    last_us = min_int;
+    first_ns = max_int;
+    last_ns = min_int;
     kind_counts = Array.make (List.length Trace.all_kinds) 0;
     nodes = Hashtbl.create 64;
     probes = Hashtbl.create 64;
@@ -107,9 +108,9 @@ let node_acc t label =
 
 let feed t (e : Trace.event) =
   t.n_events <- t.n_events + 1;
-  let us = Trace.time_to_us e.time in
-  if us < t.first_us then t.first_us <- us;
-  if us > t.last_us then t.last_us <- us;
+  let ns = Trace.time_to_ns e.time in
+  if ns < t.first_ns then t.first_ns <- ns;
+  if ns > t.last_ns then t.last_ns <- ns;
   let kid = Trace.kind_id e.kind in
   t.kind_counts.(kid) <- t.kind_counts.(kid) + 1;
   ignore (node_acc t e.node);
@@ -145,8 +146,8 @@ let feed t (e : Trace.event) =
 let merge a b =
   let t = create () in
   t.n_events <- a.n_events + b.n_events;
-  t.first_us <- (if a.first_us < b.first_us then a.first_us else b.first_us);
-  t.last_us <- (if a.last_us > b.last_us then a.last_us else b.last_us);
+  t.first_ns <- (if a.first_ns < b.first_ns then a.first_ns else b.first_ns);
+  t.last_ns <- (if a.last_ns > b.last_ns then a.last_ns else b.last_ns);
   Array.iteri
     (fun i _ -> t.kind_counts.(i) <- a.kind_counts.(i) + b.kind_counts.(i))
     t.kind_counts;
@@ -192,7 +193,16 @@ let events t = t.n_events
 
 let kind_count t k = t.kind_counts.(Trace.kind_id k)
 
-let span_us t = if t.n_events = 0 then 0 else t.last_us - t.first_us
+let span_ns t = if t.n_events = 0 then 0 else t.last_ns - t.first_ns
+
+(* Nanoseconds to microseconds, rounded half away from zero. *)
+let us_of_ns ns = if ns >= 0 then (ns + 500) / 1000 else -((500 - ns) / 1000)
+
+let span_us t = us_of_ns (span_ns t)
+
+let first_us t = if t.n_events = 0 then 0 else us_of_ns t.first_ns
+
+let last_us t = if t.n_events = 0 then 0 else us_of_ns t.last_ns
 
 let distinct_nodes t = Hashtbl.length t.nodes
 
@@ -289,10 +299,8 @@ let render_json t =
   Buffer.add_string b "{\n";
   Buffer.add_string b (Printf.sprintf "  \"events\": %d,\n" t.n_events);
   Buffer.add_string b (Printf.sprintf "  \"span_us\": %d,\n" (span_us t));
-  Buffer.add_string b
-    (Printf.sprintf "  \"first_us\": %d,\n" (if t.n_events = 0 then 0 else t.first_us));
-  Buffer.add_string b
-    (Printf.sprintf "  \"last_us\": %d,\n" (if t.n_events = 0 then 0 else t.last_us));
+  Buffer.add_string b (Printf.sprintf "  \"first_us\": %d,\n" (first_us t));
+  Buffer.add_string b (Printf.sprintf "  \"last_us\": %d,\n" (last_us t));
   Buffer.add_string b (Printf.sprintf "  \"nodes\": %d,\n" (distinct_nodes t));
   Buffer.add_string b (Printf.sprintf "  \"names\": %d,\n" (distinct_names t));
   Buffer.add_string b "  \"kinds\": {";
@@ -355,7 +363,7 @@ let render_text t =
   let b = Buffer.create 1024 in
   Buffer.add_string b (Printf.sprintf "events        %d\n" t.n_events);
   Buffer.add_string b
-    (Printf.sprintf "span          %.6f ms\n" (float_of_int (span_us t) /. 1000.));
+    (Printf.sprintf "span          %.6f ms\n" (float_of_int (span_ns t) /. 1e6));
   Buffer.add_string b
     (Printf.sprintf "nodes/names   %d / %d\n" (distinct_nodes t) (distinct_names t));
   Buffer.add_string b "kinds:\n";

@@ -14,7 +14,7 @@
     Per-shard or per-trial partial folds therefore combine
     deterministically.
 
-    {b Bit-for-bit.}  Times are quantized through {!Trace.time_to_us}
+    {b Bit-for-bit.}  Times are quantized through {!Trace.time_to_ns}
     (the binary wire precision, which equals the JSONL [%.6f]
     precision), and attr values cross both formats verbatim, so a
     binary trace and its JSONL rendering produce byte-identical
@@ -39,8 +39,19 @@ val of_source : Trace_reader.source -> (t, Trace_reader.error) result
 
 val events : t -> int
 
+val span_ns : t -> int
+(** Nanoseconds of virtual time between the earliest and latest event
+    (0 when empty) — exact at the wire quantum. *)
+
 val span_us : t -> int
-(** Microseconds between the earliest and latest event (0 when empty). *)
+(** {!span_ns} in microseconds, rounded to nearest. *)
+
+val first_us : t -> int
+(** Virtual time of the earliest event in microseconds, rounded to
+    nearest (0 when empty). *)
+
+val last_us : t -> int
+(** Likewise for the latest event. *)
 
 val kind_count : t -> Trace.kind -> int
 

@@ -129,101 +129,7 @@ let pp_event ppf e =
   if e.name <> "" then Format.fprintf ppf " %s" e.name;
   List.iter (fun (k, v) -> Format.fprintf ppf " %s=%s" k v) e.attrs
 
-(* --- tracers --- *)
-
-type t = {
-  on : bool;
-  (* Growable buffer; [None] for sink-only tracers. *)
-  mutable buf : event array option;
-  mutable len : int;
-  mutable sinks : (event -> unit) list;
-}
-
-let disabled = { on = false; buf = None; len = 0; sinks = [] }
-
-let dummy_event = { time = 0.; node = ""; kind = Engine_step; name = ""; attrs = [] }
-
-let create () = { on = true; buf = Some [||]; len = 0; sinks = [] }
-
-let with_sink sink = { on = true; buf = None; len = 0; sinks = [ sink ] }
-
-let enabled t = t.on
-
-let push t e =
-  match t.buf with
-  | None -> ()
-  | Some buf ->
-    let buf =
-      if t.len = Array.length buf then begin
-        let nb = Array.make (max 64 (2 * t.len)) dummy_event in
-        Array.blit buf 0 nb 0 t.len;
-        t.buf <- Some nb;
-        nb
-      end
-      else buf
-    in
-    buf.(t.len) <- e;
-    t.len <- t.len + 1
-
-let emit t e =
-  if t.on then begin
-    push t e;
-    List.iter (fun sink -> sink e) t.sinks
-  end
-
-let subscribe t sink =
-  if not t.on then invalid_arg "Trace.subscribe: tracer is disabled";
-  t.sinks <- t.sinks @ [ sink ]
-
-let length t = t.len
-
-let events t =
-  match t.buf with
-  | None -> [||]
-  | Some buf -> Array.sub buf 0 t.len
-
-let clear t =
-  (* No-op on [disabled], which must never be written (it is shared
-     across domains). *)
-  if t.on then begin
-    t.len <- 0;
-    match t.buf with None -> () | Some _ -> t.buf <- Some [||]
-  end
-
-let iter t f =
-  match t.buf with
-  | None -> ()
-  | Some buf ->
-    for i = 0 to t.len - 1 do
-      f buf.(i)
-    done
-
-let merge_into ~into t =
-  if not into.on then invalid_arg "Trace.merge_into: target tracer is disabled";
-  iter t (emit into)
-
-let tally t =
-  let counts = Hashtbl.create 32 in
-  iter t (fun e ->
-      let key = (e.node, e.kind) in
-      Hashtbl.replace counts key
-        (1 + Option.value (Hashtbl.find_opt counts key) ~default:0));
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
-  |> List.sort (fun ((n1, k1), _) ((n2, k2), _) ->
-         match String.compare n1 n2 with
-         | 0 -> String.compare (kind_to_string k1) (kind_to_string k2)
-         | c -> c)
-
-let events_per_ms t =
-  if t.len < 2 then Float.nan
-  else
-    match t.buf with
-    | None -> Float.nan
-    | Some buf ->
-      let span = buf.(t.len - 1).time -. buf.(0).time in
-      if span <= 0. then Float.nan else float_of_int t.len /. span
-
-(* --- exporters --- *)
+(* --- text encodings --- *)
 
 type format = Jsonl | Csv | Binary
 
@@ -250,9 +156,8 @@ let json_escape_into b s =
       | c -> Buffer.add_char b c)
     s
 
-let event_to_jsonl e =
-  let b = Buffer.create 96 in
-  Buffer.add_string b (Printf.sprintf "{\"time\":%.6f,\"node\":\"" e.time);
+let add_jsonl b e =
+  Printf.bprintf b "{\"time\":%.6f,\"node\":\"" e.time;
   json_escape_into b e.node;
   Buffer.add_string b "\",\"kind\":\"";
   Buffer.add_string b (kind_to_string e.kind);
@@ -268,38 +173,42 @@ let event_to_jsonl e =
       json_escape_into b v;
       Buffer.add_char b '"')
     e.attrs;
-  Buffer.add_string b "}}";
+  Buffer.add_string b "}}"
+
+let event_to_jsonl e =
+  let b = Buffer.create 96 in
+  add_jsonl b e;
   Buffer.contents b
 
 let csv_header = "time,node,kind,name,attrs"
 
-let csv_field s =
-  if
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
+let add_csv_field b s =
+  if String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
   then begin
-    let b = Buffer.create (String.length s + 2) in
     Buffer.add_char b '"';
     String.iter
       (fun c ->
         if c = '"' then Buffer.add_string b "\"\"" else Buffer.add_char b c)
       s;
-    Buffer.add_char b '"';
-    Buffer.contents b
+    Buffer.add_char b '"'
   end
-  else s
+  else Buffer.add_string b s
+
+let add_csv b e =
+  Printf.bprintf b "%.6f," e.time;
+  add_csv_field b e.node;
+  Buffer.add_char b ',';
+  Buffer.add_string b (kind_to_string e.kind);
+  Buffer.add_char b ',';
+  add_csv_field b e.name;
+  Buffer.add_char b ',';
+  add_csv_field b
+    (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) e.attrs))
 
 let event_to_csv e =
-  let attrs =
-    String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) e.attrs)
-  in
-  String.concat ","
-    [
-      Printf.sprintf "%.6f" e.time;
-      csv_field e.node;
-      kind_to_string e.kind;
-      csv_field e.name;
-      csv_field attrs;
-    ]
+  let b = Buffer.create 64 in
+  add_csv b e;
+  Buffer.contents b
 
 (* --- binary wire format (DESIGN §16) ---
 
@@ -316,16 +225,16 @@ let event_to_csv e =
      and attr {e keys} are interned this way — each distinct string
      crosses the wire once.
    - [0x02] event: varint kind id, zigzag-varint delta of the
-     microsecond-quantized timestamp against the previous event, varint
+     nanosecond-quantized timestamp against the previous event, varint
      node string ref, varint name string ref, varint attr count, then
      per attr a varint key ref + varint value length + raw value bytes
      (values are not interned: latency draws and counters rarely
      repeat).
 
-   Timestamps are rounded to integer microseconds — exactly the
-   precision of the [%.6f] JSONL rendering — so the binary and text
-   pipelines describe the same trace bit-for-bit.  Deltas may be
-   negative (merged per-trial streams restart virtual time); zigzag
+   Timestamps are virtual milliseconds rounded to integer nanoseconds —
+   exactly the precision of the [%.6f] JSONL rendering — so the binary
+   and text pipelines describe the same trace bit-for-bit.  Deltas may
+   be negative (merged per-trial streams restart virtual time); zigzag
    keeps them short. *)
 
 let binary_magic = "ndntrace"
@@ -336,7 +245,7 @@ type encoder = {
   ebuf : Buffer.t;
   strings : (string, int) Hashtbl.t;
   mutable next_ref : int;
-  mutable prev_us : int;
+  mutable prev_ns : int;
 }
 
 let encoder_create () =
@@ -344,22 +253,18 @@ let encoder_create () =
     ebuf = Buffer.create 65536;
     strings = Hashtbl.create 256;
     next_ref = 0;
-    prev_us = 0;
+    prev_ns = 0;
   }
 
 let encoder_reset enc =
   Buffer.clear enc.ebuf;
   Hashtbl.reset enc.strings;
   enc.next_ref <- 0;
-  enc.prev_us <- 0
+  enc.prev_ns <- 0
 
 let encoder_length enc = Buffer.length enc.ebuf
 
 let encoder_contents enc = Buffer.contents enc.ebuf
-
-let encoder_output oc enc =
-  Buffer.output_buffer oc enc.ebuf;
-  Buffer.clear enc.ebuf
 
 let encoder_add_header enc =
   Buffer.add_string enc.ebuf binary_magic;
@@ -411,14 +316,14 @@ let rec add_attrs enc l =
     add_attrs enc rest
 
 (* ndnlint: hot *)
-let time_to_us t = int_of_float (Float.round (t *. 1e6))
+let time_to_ns t = int_of_float (Float.round (t *. 1e6))
 
 (* ndnlint: hot *)
 let encode_event enc e =
   let node_ref = intern enc e.node in
   let name_ref = intern enc e.name in
-  let us = time_to_us e.time in
-  let dt = us - enc.prev_us in
+  let ns = time_to_ns e.time in
+  let dt = ns - enc.prev_ns in
   let nattrs = List.length e.attrs in
   let kid = kind_id e.kind in
   let attr_bytes = attrs_size enc 0 e.attrs in
@@ -435,57 +340,173 @@ let encode_event enc e =
   Varint.add_uint enc.ebuf name_ref;
   Varint.add_uint enc.ebuf nattrs;
   add_attrs enc e.attrs;
-  enc.prev_us <- us
+  enc.prev_ns <- ns
 
-let render_binary t =
+(* --- tracers --- *)
+
+(* Where a writer's bytes go each time its buffer is drained. *)
+type dest = Channel of out_channel | Into of Buffer.t
+
+(* A streaming writer encodes every event as it is emitted into
+   [enc.ebuf] — the binary encoder's own buffer, or pending text lines
+   (the intern table then stays empty) — and drains it to [dest] at
+   64 KiB, so it never holds more than one chunk of the stream. *)
+type writer = { wfmt : format; enc : encoder; dest : dest }
+
+type t = {
+  on : bool;
+  (* Growable buffer; [None] for sink-only tracers and writers. *)
+  mutable buf : event array option;
+  (* Events buffered — or, for a writer, encoded. *)
+  mutable len : int;
+  mutable sinks : (event -> unit) list;
+  writer : writer option;
+}
+
+let disabled = { on = false; buf = None; len = 0; sinks = []; writer = None }
+
+let dummy_event = { time = 0.; node = ""; kind = Engine_step; name = ""; attrs = [] }
+
+let create () = { on = true; buf = Some [||]; len = 0; sinks = []; writer = None }
+
+let with_sink sink =
+  { on = true; buf = None; len = 0; sinks = [ sink ]; writer = None }
+
+let enabled t = t.on
+
+let push t buf e =
+  let buf =
+    if t.len = Array.length buf then begin
+      let nb = Array.make (max 64 (2 * t.len)) dummy_event in
+      Array.blit buf 0 nb 0 t.len;
+      t.buf <- Some nb;
+      nb
+    end
+    else buf
+  in
+  buf.(t.len) <- e;
+  t.len <- t.len + 1
+
+let flush_threshold = 65536
+
+let drain w =
+  (match w.dest with
+  | Channel oc -> Buffer.output_buffer oc w.enc.ebuf
+  | Into b -> Buffer.add_buffer b w.enc.ebuf);
+  Buffer.clear w.enc.ebuf
+
+let write_event w e =
+  let b = w.enc.ebuf in
+  (match w.wfmt with
+  | Binary -> encode_event w.enc e
+  | Jsonl ->
+    add_jsonl b e;
+    Buffer.add_char b '\n'
+  | Csv ->
+    add_csv b e;
+    Buffer.add_char b '\n');
+  if Buffer.length b >= flush_threshold then drain w
+
+let emit t e =
+  if t.on then begin
+    (match t.buf with Some buf -> push t buf e | None -> ());
+    (match t.writer with
+    | Some w ->
+      write_event w e;
+      t.len <- t.len + 1
+    | None -> ());
+    match t.sinks with [] -> () | sinks -> List.iter (fun sink -> sink e) sinks
+  end
+
+let make_writer wfmt dest =
   let enc = encoder_create () in
-  encoder_add_header enc;
-  iter t (encode_event enc);
-  Buffer.contents enc.ebuf
+  (match wfmt with
+  | Binary -> encoder_add_header enc
+  | Csv ->
+    Buffer.add_string enc.ebuf csv_header;
+    Buffer.add_char enc.ebuf '\n'
+  | Jsonl -> ());
+  {
+    on = true;
+    buf = None;
+    len = 0;
+    sinks = [];
+    writer = Some { wfmt; enc; dest };
+  }
 
-(* Flush at 64 KiB so a heavy-traffic export never holds the whole
-   byte stream in memory. *)
-let binary_flush_threshold = 65536
+let writer fmt oc = make_writer fmt (Channel oc)
 
-let write_binary oc t =
-  let enc = encoder_create () in
-  encoder_add_header enc;
+let finish t =
+  match t.writer with
+  | None -> ()
+  | Some w -> (
+    drain w;
+    match w.dest with Channel oc -> flush oc | Into _ -> ())
+
+let subscribe t sink =
+  if not t.on then invalid_arg "Trace.subscribe: tracer is disabled";
+  t.sinks <- t.sinks @ [ sink ]
+
+let length t = t.len
+
+let events t =
+  match t.buf with
+  | None -> [||]
+  | Some buf -> Array.sub buf 0 t.len
+
+let clear t =
+  (* Only buffers are cleared: [disabled] must never be written (it is
+     shared across domains), and a writer's count covers bytes already
+     on their way out. *)
+  match t.buf with
+  | Some _ ->
+    t.len <- 0;
+    t.buf <- Some [||]
+  | None -> ()
+
+let iter t f =
+  match t.buf with
+  | None -> ()
+  | Some buf ->
+    for i = 0 to t.len - 1 do
+      f buf.(i)
+    done
+
+let merge_into ~into t =
+  if not into.on then invalid_arg "Trace.merge_into: target tracer is disabled";
+  iter t (emit into)
+
+let tally t =
+  let counts = Hashtbl.create 32 in
   iter t (fun e ->
-      encode_event enc e;
-      if Buffer.length enc.ebuf >= binary_flush_threshold then
-        encoder_output oc enc);
-  encoder_output oc enc
+      let key = (e.node, e.kind) in
+      Hashtbl.replace counts key
+        (1 + Option.value (Hashtbl.find_opt counts key) ~default:0));
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
+  |> List.sort (fun ((n1, k1), _) ((n2, k2), _) ->
+         match String.compare n1 n2 with
+         | 0 -> String.compare (kind_to_string k1) (kind_to_string k2)
+         | c -> c)
 
-let render fmt t =
-  match fmt with
-  | Binary -> render_binary t
-  | Jsonl | Csv ->
-    let b = Buffer.create (64 * (t.len + 1)) in
-    (match fmt with
-    | Jsonl | Binary -> ()
-    | Csv ->
-      Buffer.add_string b csv_header;
-      Buffer.add_char b '\n');
-    let line =
-      match fmt with Jsonl | Binary -> event_to_jsonl | Csv -> event_to_csv
-    in
-    iter t (fun e ->
-        Buffer.add_string b (line e);
-        Buffer.add_char b '\n');
-    Buffer.contents b
+let events_per_ms t =
+  if t.len < 2 then Float.nan
+  else
+    match t.buf with
+    | None -> Float.nan
+    | Some buf ->
+      let span = buf.(t.len - 1).time -. buf.(0).time in
+      if span <= 0. then Float.nan else float_of_int t.len /. span
+
+(* --- exporters: a buffered trace replayed into a writer --- *)
 
 let write fmt oc t =
-  match fmt with
-  | Binary -> write_binary oc t
-  | Jsonl | Csv ->
-    (match fmt with
-    | Jsonl | Binary -> ()
-    | Csv ->
-      output_string oc csv_header;
-      output_char oc '\n');
-    let line =
-      match fmt with Jsonl | Binary -> event_to_jsonl | Csv -> event_to_csv
-    in
-    iter t (fun e ->
-        output_string oc (line e);
-        output_char oc '\n')
+  let w = writer fmt oc in
+  merge_into ~into:w t;
+  finish w
+
+let render fmt t =
+  let out = Buffer.create 4096 in
+  let w = make_writer fmt (Into out) in
+  merge_into ~into:w t;
+  finish w;
+  Buffer.contents out

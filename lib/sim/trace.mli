@@ -14,9 +14,15 @@
 
     {b Determinism.}  Events carry only virtual time, component labels
     and content names — never wall-clock time or domain identity — and
-    are buffered in emission order.  Per-trial tracers produced under
+    are recorded in emission order.  Per-trial tracers produced under
     {!Parallel} are combined with {!merge_into} in trial order, so the
-    exported byte stream is identical for any [--jobs N]. *)
+    exported byte stream is identical for any [--jobs N].
+
+    {b Streaming.}  A {!writer} is an enabled tracer that encodes each
+    event at {!emit} and flushes its output in 64 KiB chunks, so a
+    traced run never holds its whole trace in memory; {!write} and
+    {!render} replay a buffered tracer into a writer, so every format
+    has exactly one encoding path. *)
 
 (** What happened.  The rendered wire names (see {!kind_to_string})
     form the stable schema: ["engine.step"], ["cs.hit"], ["cs.miss"],
@@ -114,28 +120,32 @@ val create : unit -> t
 (** Fresh enabled tracer buffering events in emission order. *)
 
 val with_sink : (event -> unit) -> t
-(** Enabled tracer that streams events to the sink {e without}
-    buffering them — for exporters that write as they go and for
-    overhead measurements. *)
+(** Enabled tracer that hands events to the sink {e without} buffering
+    them — for stitching buffers and overhead measurements. *)
 
 val enabled : t -> bool
 
 val emit : t -> event -> unit
-(** Append to the buffer (if any) and call every subscribed sink.
-    A no-op on {!disabled}; hot paths should still guard with
-    {!enabled} to skip constructing the event record. *)
+(** Append to the buffer (if any), encode into the writer (if any) and
+    call every subscribed sink.  A no-op on {!disabled}; hot paths
+    should still guard with {!enabled} to skip constructing the event
+    record. *)
 
 val subscribe : t -> (event -> unit) -> unit
 (** Register an additional sink, called synchronously on each {!emit}.
     @raise Invalid_argument on {!disabled}. *)
 
 val events : t -> event array
-(** Buffered events in emission order (a copy). *)
+(** Buffered events in emission order (a copy); empty for a
+    {!writer}. *)
 
 val length : t -> int
+(** Events buffered so far or, for a {!writer}, encoded so far; [0]
+    for {!with_sink} tracers. *)
 
 val clear : t -> unit
-(** Drop buffered events (sinks stay subscribed). *)
+(** Drop buffered events (sinks stay subscribed).  A no-op on
+    tracers without a buffer, writers included. *)
 
 val iter : t -> (event -> unit) -> unit
 
@@ -153,7 +163,7 @@ val events_per_ms : t -> float
 (** Buffered events divided by the virtual-time span they cover
     (events/sec of simulated work; [nan] on fewer than 2 events). *)
 
-(** {1 Exporters} *)
+(** {1 Formats and exporters} *)
 
 type format = Jsonl | Csv | Binary
 
@@ -175,15 +185,26 @@ val event_to_csv : event -> string
 (** One CSV row (RFC-4180 quoting); [attrs] flattened as
     [k1=v1;k2=v2]. *)
 
+val writer : format -> out_channel -> t
+(** The streaming writer: an enabled tracer with no buffer that
+    encodes each event as it is emitted and writes the bytes to the
+    channel in 64 KiB chunks.  {!Binary} starts with the stream header,
+    {!Csv} with the header line; text lines are newline-terminated.
+    The output is byte-identical to {!render} of the same events.
+    {!length} counts the events written.  Use it from one domain at a
+    time (per-domain buffers drain into it with {!merge_into}). *)
+
+val finish : t -> unit
+(** Write out what a {!writer} still holds and flush its channel (the
+    channel stays open).  A no-op on any other tracer. *)
+
 val render : format -> t -> string
-(** The whole buffered trace as one string (CSV includes the header
-    line; {!Binary} includes the stream header).  Text lines are
-    newline-terminated. *)
+(** The whole buffered trace as one string: the bytes a {!writer}
+    produces when the buffer is replayed into it. *)
 
 val write : format -> out_channel -> t -> unit
-(** Stream the buffered trace to a channel — line by line for the text
-    formats, in 64 KiB chunks for {!Binary}, so the export never holds
-    the whole byte stream. *)
+(** Replay the buffered trace into a {!writer} over the channel and
+    {!finish} it. *)
 
 (** {1 Binary wire format}
 
@@ -192,8 +213,9 @@ val write : format -> out_channel -> t -> unit
     snapshot (each kind's wire name, in {!kind_id} order), then
     length-prefixed records.  Node labels, content names and attr keys
     are interned into a per-stream string table; timestamps are
-    microsecond-quantized zigzag deltas — exactly the [%.6f] precision
-    of the JSONL rendering, so both pipelines carry identical data.
+    virtual milliseconds quantized to integer nanoseconds, as zigzag
+    deltas — exactly the [%.6f] precision of the JSONL rendering, so
+    both pipelines carry identical data.
     {!Trace_reader} is the streaming decoder; the exporter is exposed
     at encoder granularity so the bench harness can measure the emit
     path in isolation. *)
@@ -204,11 +226,11 @@ val binary_magic : string
 val binary_version : int
 (** Current format version (readers reject others). *)
 
-val time_to_us : float -> int
-(** The microsecond quantization used on the wire:
-    [round (t *. 1e6)].  {!Analyze} quantizes through the same
-    function, so summaries computed from binary and JSONL pipelines
-    agree bit-for-bit. *)
+val time_to_ns : float -> int
+(** The wire quantum: a virtual time in milliseconds as integer
+    nanoseconds, [round (t *. 1e6)].  {!Analyze} quantizes through the
+    same function, so summaries computed from binary and JSONL
+    pipelines agree bit-for-bit. *)
 
 type encoder
 (** Incremental binary exporter: an output buffer plus the string
@@ -235,6 +257,3 @@ val encoder_length : encoder -> int
 
 val encoder_contents : encoder -> string
 
-val encoder_output : out_channel -> encoder -> unit
-(** Write the buffered bytes and clear the buffer (capacity and string
-    table are retained, so encoding can continue). *)

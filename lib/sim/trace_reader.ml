@@ -192,7 +192,7 @@ let check_header src =
 type binary_state = {
   kinds : Trace.kind array;
   tab : strtab;
-  mutable prev_us : int;
+  mutable prev_ns : int;
 }
 
 let resolve_ref ~base st r ~at ~what =
@@ -243,11 +243,11 @@ let decode_record st acc f ~base payload =
     done;
     if !pos <> len then
       failf (Byte (base + !pos)) "event record has %d trailing bytes" (len - !pos);
-    let us = st.prev_us + dt in
-    st.prev_us <- us;
+    let ns = st.prev_ns + dt in
+    st.prev_ns <- ns;
     let event =
       {
-        Trace.time = float_of_int us /. 1e6;
+        Trace.time = float_of_int ns /. 1e6;
         node;
         kind = st.kinds.(kid);
         name;
@@ -260,7 +260,7 @@ let decode_record st acc f ~base payload =
 let fold_binary src ~init ~f =
   try
     let kinds = check_header src in
-    let st = { kinds; tab = strtab_create (); prev_us = 0 } in
+    let st = { kinds; tab = strtab_create (); prev_ns = 0 } in
     let acc = ref init in
     let running = ref true in
     while !running do

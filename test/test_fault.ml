@@ -233,14 +233,15 @@ let churn_schedule =
     ]
 
 let faulted_campaign ~jobs ~seed =
+  let tracer = Sim.Trace.create () in
   let r =
     Attack.Timing_experiment.run
       ~make_setup:(fun ~seed ~tracer -> Ndn.Network.lan ~seed ~tracer ())
-      ~contents:6 ~runs:3 ~seed ~jobs ~trace:true ~faults:churn_schedule ()
+      ~contents:6 ~runs:3 ~seed ~jobs ~tracer ~faults:churn_schedule ()
   in
   ( r.Attack.Timing_experiment.hit_samples,
     r.Attack.Timing_experiment.miss_samples,
-    Sim.Trace.render Sim.Trace.Jsonl r.Attack.Timing_experiment.trace )
+    Sim.Trace.render Sim.Trace.Jsonl tracer )
 
 let test_faulted_jobs_byte_identical () =
   let h1, m1, t1 = faulted_campaign ~jobs:1 ~seed:13 in

@@ -159,9 +159,21 @@ let test_hot_inventory () =
 
 (* Merged-universe staleness: with both passes' findings in hand, every
    pragma and allowlist entry in the shipped tree — typed rules and
-   "all" tokens included — must still suppress something. *)
+   "all" tokens included — must still suppress something.  Typed-rule
+   suppressions are judged only where the typed pass loaded a cmt, so
+   the test also pins how much it loaded: the R1 closure of DESIGN §15
+   (108 units when it was measured) and a cmt for every source that
+   carries a typed pragma.  The test's dune deps build every cmt
+   (@check) first, whatever was built before. *)
+let closure_floor = 108
+
 let test_merged_stale_clean () =
   let typed = run_exn real_tree_cfg in
+  Alcotest.(check bool)
+    (Printf.sprintf "R1 closure loaded: %d >= %d units"
+       (List.length typed.Ndntype.shared_units) closure_floor)
+    true
+    (List.length typed.Ndntype.shared_units >= closure_floor);
   let syntactic_cfg =
     Ndnlint.config ~root:".."
       ~allowlist_file:"tools/ndnlint/allowlist.txt"
@@ -170,12 +182,25 @@ let test_merged_stale_clean () =
   match Ndnlint.lint_full syntactic_cfg with
   | Error msg -> Alcotest.failf "ndnlint error: %s" msg
   | Ok (syntactic, inventory) ->
+    let typed_rule r =
+      List.exists (fun i -> i.Ndnlint.id = r && i.Ndnlint.typed) Ndnlint.all_rules
+    in
+    List.iter
+      (fun (file, site) ->
+        if List.exists typed_rule site.Ndnlint.ps_rules then
+          Alcotest.(check bool)
+            (Printf.sprintf "cmt loaded for %s (typed pragma at line %d)" file
+               site.Ndnlint.ps_line)
+            true
+            (List.mem file typed.Ndntype.scanned))
+      inventory.Ndnlint.inv_pragmas;
     let merged = Ndnlint.sort_findings (typed.Ndntype.findings @ syntactic) in
     let all_rule_ids = List.map (fun r -> r.Ndnlint.id) Ndnlint.all_rules in
     Alcotest.(check (list string))
       "no stale suppressions over the merged universe" []
       (List.map Ndnlint.finding_to_text
-         (Ndnlint.stale_findings ~checked_rules:all_rule_ids inventory merged))
+         (Ndnlint.stale_findings ~typed_files:typed.Ndntype.scanned
+            ~checked_rules:all_rule_ids inventory merged))
 
 (* The static checker complements the dynamic ceiling, it does not
    replace it: the benched alloc/op bound on the traced CS hit path

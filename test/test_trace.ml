@@ -177,8 +177,9 @@ let test_merge_preserves_order () =
 
 (* One small LAN probe: U warms /prod/a, Adv probes it.  Mirrors
    `ndnsim probe --warm /prod/a --target /prod/a --trace ...`. *)
-let probe_trace ?(seed = 42) () =
-  let tracer = Sim.Trace.create () in
+(* The canonical small probe run (LAN, warm /prod/a then probe it),
+   traced into [tracer]. *)
+let probe_into ?(seed = 42) tracer =
   let setup = Ndn.Network.lan ~seed ~tracer () in
   ignore
     (Ndn.Network.fetch_rtt setup.Ndn.Network.net ~from:setup.Ndn.Network.user
@@ -186,7 +187,11 @@ let probe_trace ?(seed = 42) () =
   ignore
     (Ndn.Network.fetch_rtt setup.Ndn.Network.net
        ~from:setup.Ndn.Network.adversary ~timeout_ms:1000.
-       (Ndn.Name.of_string "/prod/a"));
+       (Ndn.Name.of_string "/prod/a"))
+
+let probe_trace ?seed () =
+  let tracer = Sim.Trace.create () in
+  probe_into ?seed tracer;
   tracer
 
 let test_probe_emits_all_layers () =
@@ -248,23 +253,27 @@ let test_tally_and_rate () =
 
 (* --- determinism: --jobs invariance and the golden trace --- *)
 
+(* The canonical small campaign's trace, buffered. *)
 let campaign ~jobs =
-  Attack.Timing_experiment.run
-    ~make_setup:(fun ~seed ~tracer -> Ndn.Network.lan ~seed ~tracer ())
-    ~contents:8 ~runs:4 ~seed:11 ~jobs ~trace:true ()
+  let tracer = Sim.Trace.create () in
+  ignore
+    (Attack.Timing_experiment.run
+       ~make_setup:(fun ~seed ~tracer -> Ndn.Network.lan ~seed ~tracer ())
+       ~contents:8 ~runs:4 ~seed:11 ~jobs ~tracer ());
+  tracer
 
 let test_jobs_invariant_jsonl () =
   let r1 = campaign ~jobs:1 and r4 = campaign ~jobs:4 in
-  let t1 = Sim.Trace.render Sim.Trace.Jsonl r1.Attack.Timing_experiment.trace in
-  let t4 = Sim.Trace.render Sim.Trace.Jsonl r4.Attack.Timing_experiment.trace in
+  let t1 = Sim.Trace.render Sim.Trace.Jsonl r1 in
+  let t4 = Sim.Trace.render Sim.Trace.Jsonl r4 in
   Alcotest.(check bool) "trace is non-trivial" true (String.length t1 > 1000);
   Alcotest.(check string) "byte-identical JSONL for --jobs 1 vs --jobs 4" t1 t4
 
 let test_jobs_invariant_csv () =
   let r1 = campaign ~jobs:1 and r3 = campaign ~jobs:3 in
   Alcotest.(check string) "byte-identical CSV for --jobs 1 vs --jobs 3"
-    (Sim.Trace.render Sim.Trace.Csv r1.Attack.Timing_experiment.trace)
-    (Sim.Trace.render Sim.Trace.Csv r3.Attack.Timing_experiment.trace)
+    (Sim.Trace.render Sim.Trace.Csv r1)
+    (Sim.Trace.render Sim.Trace.Csv r3)
 
 (* Golden trace for the canonical small probe run (LAN, seed 42, warm
    /prod/a then probe it).  The pinned digest is the determinism
@@ -289,7 +298,7 @@ let golden_attack_sha256 =
 
 let test_golden_attack_trace () =
   let rendered =
-    Sim.Trace.render Sim.Trace.Jsonl (campaign ~jobs:1).Attack.Timing_experiment.trace
+    Sim.Trace.render Sim.Trace.Jsonl (campaign ~jobs:1)
   in
   let lines =
     String.split_on_char '\n' rendered |> List.filter (fun l -> l <> "")
@@ -307,19 +316,19 @@ let test_golden_attack_trace () =
    not depend on K (test_shard.ml sweeps K; here we pin K=4 against the
    digest and against a --shards 1 rerun). *)
 let campaign_sharded ~shards =
-  Attack.Timing_experiment.run
-    ~make_setup:(fun ~seed ~tracer -> Ndn.Network.lan ~seed ~tracer ~shards ())
-    ~contents:8 ~runs:4 ~seed:11 ~jobs:1 ~shards ~trace:true ()
+  let tracer = Sim.Trace.create () in
+  ignore
+    (Attack.Timing_experiment.run
+       ~make_setup:(fun ~seed ~tracer -> Ndn.Network.lan ~seed ~tracer ~shards ())
+       ~contents:8 ~runs:4 ~seed:11 ~jobs:1 ~shards ~tracer ());
+  tracer
 
 let golden_sharded_attack_lines = 1664
 let golden_sharded_attack_sha256 =
   "30ca93bd37efb8391669321567e34cc832e0674558562c9a1b676c07f0aba11a"
 
 let test_golden_sharded_attack_trace () =
-  let rendered =
-    Sim.Trace.render Sim.Trace.Jsonl
-      (campaign_sharded ~shards:4).Attack.Timing_experiment.trace
-  in
+  let rendered = Sim.Trace.render Sim.Trace.Jsonl (campaign_sharded ~shards:4) in
   let lines =
     String.split_on_char '\n' rendered |> List.filter (fun l -> l <> "")
   in
@@ -329,8 +338,7 @@ let test_golden_sharded_attack_trace () =
     golden_sharded_attack_sha256
     (Ndn_crypto.Sha256.hex_digest rendered);
   Alcotest.(check string) "--shards 4 matches --shards 1"
-    (Sim.Trace.render Sim.Trace.Jsonl
-       (campaign_sharded ~shards:1).Attack.Timing_experiment.trace)
+    (Sim.Trace.render Sim.Trace.Jsonl (campaign_sharded ~shards:1))
     rendered
 
 let test_golden_probe_trace () =
@@ -680,7 +688,7 @@ let test_binary_incremental_encoder () =
     (Sim.Trace.encoder_contents enc)
 
 let test_binary_write_matches_render () =
-  let tr = (campaign ~jobs:1).Attack.Timing_experiment.trace in
+  let tr = campaign ~jobs:1 in
   let path = Filename.temp_file "trace" ".bin" in
   let oc = open_out_bin path in
   Sim.Trace.write Sim.Trace.Binary oc tr;
@@ -801,7 +809,7 @@ let test_detect_and_auto () =
 let test_reader_channel_source () =
   (* the chunked channel path (64 KiB windows + compaction) agrees with
      the in-memory path on a trace larger than one window *)
-  let tr = (campaign ~jobs:1).Attack.Timing_experiment.trace in
+  let tr = campaign ~jobs:1 in
   let bin = Sim.Trace.render Sim.Trace.Binary tr in
   let path = Filename.temp_file "trace" ".bin" in
   let oc = open_out_bin path in
@@ -825,6 +833,163 @@ let test_reader_channel_source () =
     (jsonl_of_events (decode_binary_exn bin))
     (jsonl_of_events via_channel)
 
+(* --- the streaming writer --- *)
+
+(* Run [f] with a writer over a fresh file; return the bytes written
+   and the writer's event count. *)
+let written fmt f =
+  let path = Filename.temp_file "writer" ".trace" in
+  let oc = open_out_bin path in
+  let w = Sim.Trace.writer fmt oc in
+  f w;
+  Sim.Trace.finish w;
+  close_out oc;
+  let bytes = read_file path in
+  Sys.remove path;
+  (bytes, Sim.Trace.length w)
+
+let all_formats = [ Sim.Trace.Jsonl; Sim.Trace.Csv; Sim.Trace.Binary ]
+
+(* [f tracer] runs something traced.  Streamed through a writer, the
+   run must produce exactly the bytes of its buffered render, in every
+   format.  Returns the buffered trace. *)
+let check_writer_equals_render label f =
+  let buffered = Sim.Trace.create () in
+  f buffered;
+  List.iter
+    (fun fmt ->
+      let label = label ^ " " ^ Sim.Trace.format_to_string fmt in
+      let bytes, n = written fmt f in
+      let rendered = Sim.Trace.render fmt buffered in
+      Alcotest.(check int) (label ^ ": events counted") (Sim.Trace.length buffered) n;
+      Alcotest.(check int) (label ^ ": length") (String.length rendered)
+        (String.length bytes);
+      Alcotest.(check bool) (label ^ ": writer = render") true (bytes = rendered))
+    all_formats;
+  buffered
+
+let test_writer_golden_probe () =
+  ignore (check_writer_equals_render "probe" probe_into);
+  (* and the streamed bytes are the pinned goldens themselves *)
+  let jsonl, n = written Sim.Trace.Jsonl probe_into in
+  Alcotest.(check int) "golden line count" golden_lines n;
+  Alcotest.(check string) "streamed JSONL golden" golden_sha256
+    (Ndn_crypto.Sha256.hex_digest jsonl);
+  let bin, _ = written Sim.Trace.Binary probe_into in
+  Alcotest.(check int) "streamed binary golden length" golden_binary_bytes
+    (String.length bin);
+  Alcotest.(check string) "streamed binary golden" golden_binary_sha256
+    (Ndn_crypto.Sha256.hex_digest bin)
+
+let attack_into ?shards ~jobs tracer =
+  ignore
+    (Attack.Timing_experiment.run
+       ~make_setup:(fun ~seed ~tracer -> Ndn.Network.lan ~seed ~tracer ?shards ())
+       ~contents:8 ~runs:4 ~seed:11 ~jobs ?shards ~tracer ())
+
+(* One worker streams every run straight into the writer; several
+   workers buffer per run and drain in run order.  Both must match the
+   buffered render, and the pinned attack goldens, for any jobs/shards
+   the host's domain budget admits (a refused combination must be
+   refused up front, not half-traced). *)
+let test_writer_attack_campaigns () =
+  List.iter
+    (fun jobs ->
+      let jsonl, _ = written Sim.Trace.Jsonl (attack_into ~jobs) in
+      Alcotest.(check string)
+        (Printf.sprintf "jobs %d: streamed attack golden" jobs)
+        golden_attack_sha256
+        (Ndn_crypto.Sha256.hex_digest jsonl);
+      List.iter
+        (fun shards ->
+          let label = Printf.sprintf "jobs %d shards %d" jobs shards in
+          match Sim.Parallel.check_domains ~jobs ~shards with
+          | Ok () ->
+            let buffered =
+              check_writer_equals_render label (attack_into ~shards ~jobs)
+            in
+            Alcotest.(check string)
+              (label ^ ": sharded attack golden")
+              golden_sharded_attack_sha256
+              (Ndn_crypto.Sha256.hex_digest
+                 (Sim.Trace.render Sim.Trace.Jsonl buffered))
+          | Error _ ->
+            let path = Filename.temp_file "writer" ".trace" in
+            let oc = open_out_bin path in
+            let w = Sim.Trace.writer Sim.Trace.Binary oc in
+            (match attack_into ~shards ~jobs w with
+            | () -> Alcotest.failf "%s: over-budget campaign ran" label
+            | exception Invalid_argument _ -> ());
+            Alcotest.(check int) (label ^ ": refused before any event") 0
+              (Sim.Trace.length w);
+            close_out oc;
+            Sys.remove path)
+        [ 1; 2 ])
+    [ 1; 3 ]
+
+(* `ndnsim defend`'s trace: the baseline campaign, then the defended
+   one (producer-private content behind a delaying router), streamed
+   into one writer. *)
+let defend_into ~jobs tracer =
+  let campaign make_setup =
+    ignore
+      (Attack.Timing_experiment.run ~make_setup ~contents:6 ~runs:3 ~seed:5
+         ~jobs ~tracer ())
+  in
+  campaign (fun ~seed ~tracer -> Ndn.Network.lan ~seed ~tracer ());
+  campaign (fun ~seed ~tracer ->
+      let setup =
+        Ndn.Network.lan ~seed ~tracer
+          ~producer:
+            { Ndn.Network.default_producer_config with producer_private = true }
+          ()
+      in
+      let router = setup.Ndn.Network.router in
+      ignore
+        (Core.Private_router.attach ~tracer:(Ndn.Node.tracer router) router
+           ~rng:(Sim.Rng.create (seed + 10_000))
+           (Core.Private_router.Delay_private Core.Delay.Content_specific));
+      setup)
+
+let test_writer_defend () =
+  let one = check_writer_equals_render "defend jobs 1" (defend_into ~jobs:1) in
+  let two = check_writer_equals_render "defend jobs 2" (defend_into ~jobs:2) in
+  (* Every run starts a fresh network at virtual time 0, so the stream
+     steps back in time exactly between consecutive runs: 3 baseline
+     runs then 3 defended ones. *)
+  let restarts =
+    snd
+      (Array.fold_left
+         (fun (prev, n) e ->
+           (e.Sim.Trace.time, if e.Sim.Trace.time < prev then n + 1 else n))
+         (neg_infinity, 0) (Sim.Trace.events one))
+  in
+  Alcotest.(check int) "both campaigns streamed, run after run" 5 restarts;
+  Alcotest.(check bool) "jobs-invariant" true
+    (Sim.Trace.render Sim.Trace.Binary one = Sim.Trace.render Sim.Trace.Binary two)
+
+let test_writer_is_sink_only () =
+  let bytes, n =
+    written Sim.Trace.Csv (fun w ->
+        Alcotest.(check bool) "enabled" true (Sim.Trace.enabled w);
+        Sim.Trace.emit w (ev ~time:1.5 ~name:"/x" ());
+        Sim.Trace.clear w;
+        Sim.Trace.emit w (ev ~time:2.5 ~name:"/y" ());
+        Alcotest.(check int) "nothing buffered" 0
+          (Array.length (Sim.Trace.events w)))
+  in
+  Alcotest.(check int) "clear keeps the written count" 2 n;
+  Alcotest.(check int) "header + two rows" 3
+    (List.length (List.filter (( <> ) "") (String.split_on_char '\n' bytes)));
+  Alcotest.(check bool) "csv header first" true
+    (String.length bytes > 0
+    && String.sub bytes 0 (String.length Sim.Trace.csv_header)
+       = Sim.Trace.csv_header);
+  let empty, _ = written Sim.Trace.Binary ignore in
+  Alcotest.(check string) "an empty binary stream is the header"
+    (Sim.Trace.render Sim.Trace.Binary (Sim.Trace.create ()))
+    empty
+
 (* --- streaming analyzers --- *)
 
 let analyze_exn s =
@@ -834,7 +999,7 @@ let analyze_exn s =
     Alcotest.failf "analyze failed: %s" (Sim.Trace_reader.error_to_string e)
 
 let test_analyze_binary_equals_jsonl () =
-  let tr = (campaign ~jobs:1).Attack.Timing_experiment.trace in
+  let tr = campaign ~jobs:1 in
   let sb = Sim.Analyze.render_json (analyze_exn (Sim.Trace.render Sim.Trace.Binary tr)) in
   let sj = Sim.Analyze.render_json (analyze_exn (Sim.Trace.render Sim.Trace.Jsonl tr)) in
   Alcotest.(check string) "binary and JSONL summaries bit-identical" sb sj;
@@ -845,7 +1010,7 @@ let test_analyze_binary_equals_jsonl () =
   Alcotest.(check bool) "attack matrix present" true (contains sb "\"attack\": {")
 
 let test_analyze_attack_numbers () =
-  let tr = (campaign ~jobs:1).Attack.Timing_experiment.trace in
+  let tr = campaign ~jobs:1 in
   let t = analyze_exn (Sim.Trace.render Sim.Trace.Binary tr) in
   match Sim.Analyze.attack t with
   | None -> Alcotest.fail "no attack matrix found in the campaign trace"
@@ -865,18 +1030,40 @@ let test_analyze_sharded_matches () =
   (* Shard stitching orders same-time events by (node id, counter); the
      binary writer must observe that stitched order identically for any
      K — same bytes, and a fortiori the same analyzer summary. *)
-  let b1 =
-    Sim.Trace.render Sim.Trace.Binary
-      (campaign_sharded ~shards:1).Attack.Timing_experiment.trace
-  in
-  let b4 =
-    Sim.Trace.render Sim.Trace.Binary
-      (campaign_sharded ~shards:4).Attack.Timing_experiment.trace
-  in
+  let b1 = Sim.Trace.render Sim.Trace.Binary (campaign_sharded ~shards:1) in
+  let b4 = Sim.Trace.render Sim.Trace.Binary (campaign_sharded ~shards:4) in
   Alcotest.(check bool) "binary bytes identical across --shards K" true (b1 = b4);
   Alcotest.(check string) "analyzer summaries identical across --shards K"
     (Sim.Analyze.render_json (analyze_exn b1))
     (Sim.Analyze.render_json (analyze_exn b4))
+
+(* The analyzer reports virtual time in microseconds: its span of a
+   20-content LAN campaign equals the range of the JSONL [time] field
+   (milliseconds) within 1 µs. *)
+let test_analyze_span_unit () =
+  let tr = Sim.Trace.create () in
+  ignore
+    (Attack.Timing_experiment.run
+       ~make_setup:(fun ~seed ~tracer -> Ndn.Network.lan ~seed ~tracer ())
+       ~contents:20 ~runs:1 ~seed:3 ~jobs:1 ~tracer:tr ());
+  let times =
+    String.split_on_char '\n' (Sim.Trace.render Sim.Trace.Jsonl tr)
+    |> List.filter (( <> ) "")
+    |> List.map (fun l -> Scanf.sscanf l "{\"time\":%f," Fun.id)
+  in
+  let lo = List.fold_left Float.min infinity times
+  and hi = List.fold_left Float.max neg_infinity times in
+  let a = analyze_exn (Sim.Trace.render Sim.Trace.Binary tr) in
+  let span_us = Sim.Analyze.span_us a in
+  Alcotest.(check bool)
+    (Printf.sprintf "span_us %d = JSONL range %.6f ms within 1 us" span_us
+       (hi -. lo))
+    true
+    (Float.abs (float_of_int span_us -. ((hi -. lo) *. 1000.)) <= 1.);
+  Alcotest.(check int) "first_us" (Float.to_int (Float.round (lo *. 1000.)))
+    (Sim.Analyze.first_us a);
+  Alcotest.(check int) "last_us" (Float.to_int (Float.round (hi *. 1000.)))
+    (Sim.Analyze.last_us a)
 
 let check_merge_law evs k =
   let whole = Sim.Analyze.create () in
@@ -921,7 +1108,7 @@ let check_merge_law evs k =
 let test_analyze_merge_law () =
   let evs =
     Array.to_list
-      (Sim.Trace.events (campaign ~jobs:1).Attack.Timing_experiment.trace)
+      (Sim.Trace.events (campaign ~jobs:1))
   in
   let n = List.length evs in
   List.iter (check_merge_law evs) [ 0; 1; n / 3; n / 2; n - 1; n ]
@@ -1056,6 +1243,17 @@ let () =
             test_analyze_sharded_matches;
           Alcotest.test_case "merge law on campaign" `Slow
             test_analyze_merge_law;
+          Alcotest.test_case "span in microseconds" `Quick
+            test_analyze_span_unit;
+        ] );
+      ( "writer",
+        [
+          Alcotest.test_case "sink only" `Quick test_writer_is_sink_only;
+          Alcotest.test_case "golden probe = render" `Quick
+            test_writer_golden_probe;
+          Alcotest.test_case "attack jobs x shards = render" `Slow
+            test_writer_attack_campaigns;
+          Alcotest.test_case "defend = render" `Slow test_writer_defend;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -957,9 +957,22 @@ let lint cfg = Result.map fst (lint_full cfg)
    only for rules in [checked_rules]: the syntactic pass must not
    declare a typed-rule pragma stale just because it cannot see typed
    findings (and vice versa).  Pragmas naming S3 itself are exempt, so
-   a stale-suppression finding can itself be suppressed. *)
-let stale_findings ~checked_rules inventory findings =
+   a stale-suppression finding can itself be suppressed.
+
+   [typed_files], when given, lists the sources whose cmt the typed
+   pass actually loaded.  Elsewhere a typed-rule (or "all") suppression
+   cannot be judged: the finding it covers may exist and simply not
+   have been computed, because the cmt was missing. *)
+let stale_findings ?typed_files ~checked_rules inventory findings =
   let checked r = List.mem r checked_rules in
+  let is_typed r =
+    r = "all" || List.exists (fun i -> i.id = r && i.typed) all_rules
+  in
+  let typed_seen rule in_scope =
+    match typed_files with
+    | None -> true
+    | Some files -> (not (is_typed rule)) || List.exists in_scope files
+  in
   (* An "all" token can only be judged stale when this run checked the
      whole rule universe — a syntactic-only pass must not condemn a
      pragma that is in fact suppressing a typed finding. *)
@@ -974,7 +987,10 @@ let stale_findings ~checked_rules inventory findings =
       if not (List.mem "S3" site.ps_rules) then
         List.iter
           (fun rule ->
-            let judged = if rule = "all" then universe_checked else checked rule in
+            let judged =
+              (if rule = "all" then universe_checked else checked rule)
+              && typed_seen rule (String.equal file)
+            in
             if judged then begin
               let used =
                 List.exists
@@ -1010,7 +1026,8 @@ let stale_findings ~checked_rules inventory findings =
     List.iter
       (fun e ->
         let judged =
-          if e.a_rule = "all" then universe_checked else checked e.a_rule
+          (if e.a_rule = "all" then universe_checked else checked e.a_rule)
+          && typed_seen e.a_rule (path_in_scope e.a_path)
         in
         if judged then begin
           (* Replicate first-match resolution: the entry is live only if

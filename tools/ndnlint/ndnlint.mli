@@ -164,14 +164,22 @@ val lint : config -> (finding list, string) result
 (** {!lint_full} without the inventory. *)
 
 val stale_findings :
-  checked_rules:string list -> inventory -> finding list -> finding list
+  ?typed_files:string list ->
+  checked_rules:string list ->
+  inventory ->
+  finding list ->
+  finding list
 (** S3: pragmas and allowlist entries that suppressed nothing in
     [findings] (which should be the {e merged} results of every pass
     that ran).  Only suppressions naming a rule in [checked_rules] are
     judged — a syntactic-only run must not condemn a typed-rule pragma
     it cannot match; ["all"] tokens are judged only when
     [checked_rules] spans the whole rule table.  Sites that also name
-    [S3] are exempt.  Sorted like {!lint_full}'s findings. *)
+    [S3] are exempt.  [typed_files] (default: every file) lists the
+    sources whose cmt the typed pass loaded; a typed-rule or ["all"]
+    pragma in any other file — or an allowlist entry whose path covers
+    none of them — is not judged, since its finding could not have been
+    computed.  Sorted like {!lint_full}'s findings. *)
 
 val sort_findings : finding list -> finding list
 (** Sort by (file, line, col, rule) — the order {!lint_full} returns

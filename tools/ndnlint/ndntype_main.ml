@@ -95,7 +95,7 @@ let () =
       | Ok (syn_findings, inventory) ->
         let merged = syn_findings @ typed.Ndntype.findings in
         let stale =
-          Ndnlint.stale_findings
+          Ndnlint.stale_findings ~typed_files:typed.Ndntype.scanned
             ~checked_rules:(List.map (fun r -> r.Ndnlint.id) Ndnlint.all_rules)
             inventory merged
         in
